@@ -2,17 +2,23 @@
 sparse multivariate polynomials, and symmetric quadratic forms.
 
 Everything here is exact; there are no floats and no tolerances anywhere.
-Linear algebra uses fraction-free (Bareiss-style) forward elimination with
-deterministic pivoting (first nonzero entry in column order), so identical
-inputs always produce identical bases.
+All linear algebra runs through one elimination kernel, Matrix._echelon: a
+fraction-free (Bareiss) pass over Gaussian integers held as int pairs, with
+deterministic pivoting (first nonzero entry in column order).  Rank, kernel,
+determinant, inverse and solve derive from its echelon form, and every basis
+they return is canonical, so identical inputs always produce identical bases.
 """
 
 from __future__ import annotations
 
 import re as _re
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
+from math import lcm, prod
 from typing import Iterable, Sequence
+
+from .errors import InternalCheckError
 
 
 class Scalar:
@@ -104,6 +110,9 @@ class Scalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # a real Scalar equals its Fraction, so it must hash like one
+        if self.im == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __str__(self):
@@ -125,7 +134,7 @@ class Scalar:
     @staticmethod
     def from_json(data) -> "Scalar":
         if isinstance(data, dict):
-            return Scalar(Fraction(data.get("re", 0)), Fraction(data.get("im", 0)))
+            return Scalar(_fraction(data.get("re", 0)), _fraction(data.get("im", 0)))
         if isinstance(data, int):
             return Scalar(data)
         if isinstance(data, str):
@@ -151,10 +160,18 @@ class Scalar:
             im_part = im_part.replace(" ", "")
             if im_part in ("+", "-"):
                 im_part += "1"
-            return Scalar(Fraction(re_part) if re_part else 0, Fraction(im_part))
+            return Scalar(_fraction(re_part) if re_part else 0, _fraction(im_part))
         if re_part is None:
             raise ValueError(f"cannot parse Scalar from {text!r}")
-        return Scalar(Fraction(re_part))
+        return Scalar(_fraction(re_part))
+
+
+def _fraction(value) -> Fraction:
+    """Fraction(value), reporting a zero denominator as malformed input."""
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 ZERO = Scalar(0)
@@ -321,140 +338,106 @@ class Matrix:
     # -- elimination ---------------------------------------------------
 
     def _echelon(self):
-        """Fraction-free forward elimination.
+        """The elimination kernel: one fraction-free pass over Gaussian integers.
 
-        Returns (grid, pivots) where grid is an upper-echelon copy of the
-        matrix and pivots is the list of (row, col) pivot positions.  Pivot
-        choice is the first row with a nonzero entry, scanning columns left
-        to right, which makes the result deterministic.
+        Each row is scaled by the lcm of its denominators, so it holds
+        Gaussian integers, kept as plain-int grids of real and imaginary
+        parts; zero rows are left out.  One Bareiss pass (Bareiss 1968) then
+        clears each pivot column; every entry stays a minor of the scaled
+        matrix, so each division by the previous pivot is exact, and a
+        remainder raises InternalCheckError.  The pivot is the first row with
+        a nonzero entry, scanning columns left to right, so the pivot columns
+        are the leftmost independent columns.  A row swap negates the row
+        moved down, which keeps the determinant: on a square matrix of full
+        rank the last pivot is the determinant of the scaled matrix.
+
+        Returns ((re, im), pivots): the echelon form as its two int grids and
+        the list of (row, col) pivot positions.
         """
-        grid = [list(row) for row in self.entries]
+        re, im = [], []
+        for row in self.entries:
+            scale = _row_scale(row)
+            row_re = [v.re.numerator * (scale // v.re.denominator) for v in row]
+            row_im = [v.im.numerator * (scale // v.im.denominator) for v in row]
+            if any(row_re) or any(row_im):  # a zero row takes no part
+                re.append(row_re)
+                im.append(row_im)
+        rows = len(re)
+        # real input stays real, and its row update skips the imaginary parts
+        real = not any(map(any, im))
         pivots = []
-        prev = ONE
+        prev_re, prev_im = 1, 0
         r = 0
         for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if not grid[i][c].is_zero():
-                    pivot_row = i
-                    break
+            if r == rows:
+                break
+            pivot_row = next((i for i in range(r, rows) if re[i][c] or im[i][c]), None)
             if pivot_row is None:
                 continue
             if pivot_row != r:
-                grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
-            p = grid[r][c]
-            for i in range(r + 1, self.rows):
-                if grid[i][c].is_zero():
-                    # keep the Bareiss rescale so later exact divisions hold
-                    for j in range(c + 1, self.cols):
-                        if not grid[i][j].is_zero():
-                            grid[i][j] = p * grid[i][j] / prev
-                    continue
-                q = grid[i][c]
-                for j in range(c + 1, self.cols):
-                    grid[i][j] = (p * grid[i][j] - q * grid[r][j]) / prev
-                grid[i][c] = ZERO
+                re[r], re[pivot_row] = re[pivot_row], [-v for v in re[r]]
+                im[r], im[pivot_row] = im[pivot_row], [-v for v in im[r]]
+            p_re, p_im = re[r][c], im[r][c]
+            top_re, top_im = re[r][c + 1 :], im[r][c + 1 :]
+            # (p*a - q*t) / prev, computed as (p'*a - q'*t) / |prev|^2 with
+            # p' = p * conj(prev) and q' = q * conj(prev)
+            norm = prev_re * prev_re + prev_im * prev_im
+            pc_re, pc_im = p_re * prev_re + p_im * prev_im, p_im * prev_re - p_re * prev_im
+            for i in range(r + 1, rows):
+                row_re, row_im = re[i], im[i]
+                q_re, q_im = row_re[c], row_im[c]
+                if real:
+                    row_re[c + 1 :] = _exact_quotients(
+                        [p_re * a - q_re * t for a, t in zip(row_re[c + 1 :], top_re)], prev_re
+                    )
+                else:
+                    qc_re, qc_im = q_re * prev_re + q_im * prev_im, q_im * prev_re - q_re * prev_im
+                    tail = list(zip(row_re[c + 1 :], row_im[c + 1 :], top_re, top_im))
+                    row_re[c + 1 :] = _exact_quotients(
+                        [pc_re * a - pc_im * b - qc_re * s + qc_im * t for a, b, s, t in tail], norm
+                    )
+                    row_im[c + 1 :] = _exact_quotients(
+                        [pc_re * b + pc_im * a - qc_re * t - qc_im * s for a, b, s, t in tail], norm
+                    )
+                row_re[c] = row_im[c] = 0
             pivots.append((r, c))
-            prev = p
+            prev_re, prev_im = p_re, p_im
             r += 1
-            if r == self.rows:
-                break
-        return grid, pivots
-
-    def _int_grid(self):
-        """Plain-int copy of the entries, or None if any entry is not a rational integer."""
-        out = []
-        for row in self.entries:
-            int_row = []
-            for v in row:
-                if v.im != 0 or v.re.denominator != 1:
-                    return None
-                int_row.append(v.re.numerator)
-            out.append(int_row)
-        return out
+        return (re, im), pivots
 
     def rank(self) -> int:
-        ints = self._int_grid()
-        if ints is not None:
-            try:
-                return _int_rank(ints, self.cols)
-            except _InexactDivision:
-                pass
         return len(self._echelon()[1])
 
     def det(self) -> Scalar:
+        """The last pivot of the kernel over the product of the row scales."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        grid = [list(row) for row in self.entries]
-        prev = ONE
-        sign = 1
-        for k in range(self.rows):
-            pivot_row = None
-            for i in range(k, self.rows):
-                if not grid[i][k].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return ZERO
-            if pivot_row != k:
-                grid[k], grid[pivot_row] = grid[pivot_row], grid[k]
-                sign = -sign
-            p = grid[k][k]
-            for i in range(k + 1, self.rows):
-                q = grid[i][k]
-                for j in range(k + 1, self.rows):
-                    grid[i][j] = (p * grid[i][j] - q * grid[k][j]) / prev
-                grid[i][k] = ZERO
-            prev = p
-        d = grid[self.rows - 1][self.rows - 1]
-        return d if sign > 0 else -d
+        (re, im), pivots = self._echelon()
+        if len(pivots) < self.rows:
+            return ZERO
+        return Scalar(re[-1][-1], im[-1][-1]) / prod(_row_scale(row) for row in self.entries)
 
     def kernel_basis(self) -> list:
-        """Exact basis of the right null space, one vector per free column."""
+        """Exact basis of the right null space, one vector per free column.
+
+        The vector of free column f has 1 at f and 0 at every other free column.
+        """
         grid, pivots = self._echelon()
-        pivot_cols = [c for _, c in pivots]
-        pivot_set = set(pivot_cols)
-        free_cols = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free_cols:
-            vec = [ZERO] * self.cols
-            vec[f] = ONE
-            for r in range(len(pivots) - 1, -1, -1):
-                c = pivot_cols[r]
-                if c > f:
-                    continue
-                acc = ZERO
-                for j in range(c + 1, self.cols):
-                    if not vec[j].is_zero() and not grid[r][j].is_zero():
-                        acc = acc + grid[r][j] * vec[j]
-                if not acc.is_zero():
-                    vec[c] = -acc / grid[r][c]
-            basis.append(tuple(vec))
-        return basis
+        return _kernel_from_echelon(grid, pivots, self.cols)
 
     def inverse(self) -> "Matrix":
+        """Read off the kernel of [M | I]: its vector for column n + j is
+        (-M^-1 e_j, e_j).  M is singular exactly when a pivot lands in I."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        grid = [list(row) + list(Matrix.identity(n).entries[i]) for i, row in enumerate(self.entries)]
-        r = 0
-        for c in range(n):
-            pivot_row = None
-            for i in range(r, n):
-                if not grid[i][c].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                raise ValueError("matrix is singular")
-            grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
-            p = grid[r][c]
-            grid[r] = [v / p for v in grid[r]]
-            for i in range(n):
-                if i != r and not grid[i][c].is_zero():
-                    q = grid[i][c]
-                    grid[i] = [grid[i][j] - q * grid[r][j] for j in range(2 * n)]
-            r += 1
-        return Matrix([row[n:] for row in grid])
+        unit = Matrix.identity(n).entries
+        augmented = Matrix([list(row) + list(e) for row, e in zip(self.entries, unit)])
+        grid, pivots = augmented._echelon()
+        if pivots[-1][1] >= n:
+            raise ValueError("matrix is singular")
+        columns = _kernel_from_echelon(grid, pivots, 2 * n)
+        return Matrix([[-col[i] for col in columns] for i in range(n)])
 
     def to_json(self):
         return [[v.to_json() for v in row] for row in self.entries]
@@ -467,48 +450,65 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-class _InexactDivision(ArithmeticError):
-    pass
+def _row_scale(row) -> int:
+    """The lcm of the denominators in a row of Scalars."""
+    return lcm(*(v.re.denominator for v in row), *(v.im.denominator for v in row))
 
 
-def _int_rank(grid: list, cols: int) -> int:
-    """Bareiss rank over plain Python ints; grid is consumed.
+def _exact_quotients(values: list, divisor: int) -> list:
+    """Each value divided by divisor; in fraction-free elimination every such
+    division is exact, so a remainder means a broken invariant."""
+    if divisor == 1:
+        return values
+    if divisor == -1:  # the usual pivot of a sparse 0/1 matrix
+        return [-v for v in values]
+    if any([v % divisor for v in values]):
+        raise InternalCheckError("inexact division in fraction-free elimination")
+    return [v // divisor for v in values]
 
-    Every row below the pivot gets the full one-step update, including rows
-    with a zero entry in the pivot column: the rescale by the pivot is what
-    keeps each entry a bordered minor, so the division by the previous pivot
-    stays exact.  Divisibility is asserted; the caller falls back to the
-    field elimination if it ever fails.
+
+def _kernel_from_echelon(grid, pivots, cols: int) -> list:
+    """Kernel basis of an echelon form from Matrix._echelon, by fraction-free
+    back-substitution.
+
+    For free column f, let D be the last pivot left of f.  By Cramer's rule D
+    times the kernel vector of f is a Gaussian-integer vector y, so each
+    back-substitution step is an exact division; the vector is y / D.
     """
-    rows = len(grid)
-    prev = 1
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if grid[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    re, im = grid
+    pivot_cols = [c for _, c in pivots]
+    pivot_set = set(pivot_cols)
+    basis = []
+    for f in range(cols):
+        if f in pivot_set:
             continue
-        if pivot_row != r:
-            grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
-        p = grid[r][c]
-        row_r = grid[r]
-        for i in range(r + 1, rows):
-            row_i = grid[i]
-            q = row_i[c]
-            for j in range(c + 1, cols):
-                num = p * row_i[j] - q * row_r[j]
-                if num % prev:
-                    raise _InexactDivision
-                row_i[j] = num // prev
-            row_i[c] = 0
-        prev = p
-        r += 1
-        if r == rows:
-            break
-    return r
+        vec = [ZERO] * cols
+        vec[f] = ONE
+        k = bisect_left(pivot_cols, f)
+        if k:
+            d_re, d_im = re[k - 1][pivot_cols[k - 1]], im[k - 1][pivot_cols[k - 1]]
+            known = [(f, d_re, d_im)]  # (column j, y_j) for the nonzero y_j
+            for r in range(k - 1, -1, -1):
+                row_re, row_im = re[r], im[r]
+                s_re = s_im = 0
+                for j, y_re, y_im in known:
+                    a, b = row_re[j], row_im[j]
+                    s_re += a * y_re - b * y_im
+                    s_im += a * y_im + b * y_re
+                if s_re or s_im:
+                    # y_c = -s / p, computed as -s * conj(p) / |p|^2
+                    c = pivot_cols[r]
+                    p_re, p_im = row_re[c], row_im[c]
+                    y_re, y_im = _exact_quotients(
+                        [-(s_re * p_re + s_im * p_im), s_re * p_im - s_im * p_re],
+                        p_re * p_re + p_im * p_im,
+                    )
+                    known.append((c, y_re, y_im))
+            d = Scalar(d_re, d_im)
+            for j, y_re, y_im in known[1:]:
+                vec[j] = Scalar(y_re, y_im) / d
+        basis.append(tuple(vec))
+    return basis
 
 
 def solve_exact(a: Matrix, b: Sequence):
@@ -778,9 +778,6 @@ class Poly:
     def constant_term(self) -> Scalar:
         zero_key = (0,) * len(self.variables)
         return self.terms.get(zero_key, ZERO)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def sorted_terms(self):
         """Terms in descending degrevlex order (the canonical presentation)."""

@@ -36,10 +36,6 @@ class Quiver:
             "edges": [[s, t, label] for s, t, label in self.edges],
         }
 
-    @staticmethod
-    def from_json(data) -> "Quiver":
-        return Quiver(data["vertex_count"], tuple((s, t, l) for s, t, l in data["edges"]))
-
 
 @dataclass(frozen=True)
 class DimVector:
@@ -110,7 +106,10 @@ class PolystableData:
         points = tuple(
             tuple(Scalar.from_json(c) for c in p) for p in data["points"]
         )
-        return PolystableData(points, tuple(int(m) for m in data["mults"]))
+        mults = tuple(data["mults"])
+        if any(type(m) is not int for m in mults):
+            raise ValueError("multiplicities must be integers")
+        return PolystableData(points, mults)
 
 
 def framed_3loop(r: int) -> Quiver:

@@ -31,14 +31,6 @@ class SplitMix64:
             raise ValueError("empty range")
         return lo + self.next_u64() % (hi - lo + 1)
 
-    def fork(self) -> "SplitMix64":
-        return SplitMix64(self.next_u64())
-
-
-def random_int_scalar(rng: SplitMix64, bound: int) -> Scalar:
-    """Real integer entry in [-bound, bound]."""
-    return Scalar(rng.randint(-bound, bound))
-
 
 def random_scalar(rng: SplitMix64, bound: int) -> Scalar:
     """Gaussian integer entry with both parts in [-bound, bound]."""

@@ -29,61 +29,29 @@ class SubspaceBasis:
         return len(self.vectors)
 
 
-class _SpanTracker:
-    """Incremental exact span membership via echelonized vectors."""
-
-    def __init__(self, ambient: int):
-        self.ambient = ambient
-        self.rows = []  # (pivot_index, vector) with vec[pivot] == 1
-
-    def reduce(self, vec):
-        vec = list(vec)
-        for pivot, row in self.rows:
-            c = vec[pivot]
-            if not c.is_zero():
-                for j in range(self.ambient):
-                    vec[j] = vec[j] - c * row[j]
-        return vec
-
-    def add(self, vec) -> bool:
-        """Reduce and absorb; returns True when the vector enlarged the span."""
-        vec = self.reduce(vec)
-        pivot = next((i for i, v in enumerate(vec) if not v.is_zero()), None)
-        if pivot is None:
-            return False
-        inv = vec[pivot]
-        vec = [v / inv for v in vec]
-        self.rows.append((pivot, vec))
-        self.rows.sort(key=lambda pr: pr[0])
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-
 def krylov_closure(rep: FramedRep) -> SubspaceBasis:
     """Smallest subspace containing the framing columns and invariant under A, B, C.
 
     Saturates the span under left multiplication until the dimension stops
-    growing; processing order is deterministic (framing columns first, then
-    images under A, B, C in that order).
+    growing; a vector joins the basis when it raises the rank.  Processing
+    order is deterministic (framing columns first, then images under A, B, C
+    in that order).
     """
     if rep.r < 1:
         raise ValueError("needs at least one framing vector")
     n = rep.n
-    tracker = _SpanTracker(n)
+    basis = []
     queue = [rep.V.column(j) for j in range(rep.r)]
     head = 0
     while head < len(queue):
         vec = queue[head]
         head += 1
-        if not tracker.add(vec):
+        if matrix_from_columns(basis + [vec], n).rank() == len(basis):
             continue
+        basis.append(vec)
         for m in (rep.A, rep.B, rep.C):
             queue.append(m.apply(vec))
-    basis = tuple(tuple(row) for _, row in tracker.rows)
-    return SubspaceBasis(n, basis)
+    return SubspaceBasis(n, tuple(basis))
 
 
 def is_stable(rep: FramedRep) -> bool:

@@ -68,6 +68,22 @@ class TestExitCodes:
         code, _ = run(RunConfig("luna", "decompose", {"data": _write(tmp_path, "d.json", payload)}))
         assert code == 2
 
+    def test_zero_denominator_point_exits_two(self):
+        assert cli.main(["koszul", "table", "--point", "1/0,0,0"]) == 2
+
+    def test_zero_denominator_in_rep_exits_two(self, tmp_path):
+        payload = random_rep(2, 1, 7, 3).to_json()
+        payload["A"][0][0] = {"re": "1/0"}
+        path = _write(tmp_path, "r.json", payload)
+        assert cli.main(["potential", "eval", "--rep", path]) == 2
+
+    @pytest.mark.parametrize("mult", [1.7, True, "1"])
+    def test_non_integer_mult_exits_two(self, tmp_path, mult):
+        payload = _polystable_payload()
+        payload["mults"][0] = mult
+        path = _write(tmp_path, "d.json", payload)
+        assert cli.main(["luna", "decompose", "--data", path]) == 2
+
     def test_pass_is_zero(self, tmp_path):
         rep = random_rep(2, 1, 7, 3)
         code, report = run(
