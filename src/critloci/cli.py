@@ -176,7 +176,7 @@ def _run_luna(config: RunConfig) -> list:
     try:
         point = luna.SlicePoint.from_data(data)
         dec = luna.slice_decomposition(point)
-        nondeg = luna.slice_hessian_nondegenerate(point)
+        nondeg = luna.slice_hessian_nondegenerate(point, dec)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     return [

@@ -366,7 +366,15 @@ class Matrix:
         # real input stays real, and its row update skips the imaginary parts
         real = not any(map(any, im))
         pivots = []
-        prev_re, prev_im = 1, 0
+        # history[k] is the pivot of step k, after history[0] = 1.  A step
+        # only multiplies a row with a zero in its pivot column by the pivot
+        # over the previous pivot, and over several steps these factors
+        # telescope, so such a row is left as it is: with since[i] = s, the
+        # values of row i after k steps are its stored values times
+        # history[k] / history[s], and the row is brought up to date only
+        # when a step needs its values.
+        history = [(1, 0)]
+        since = [0] * rows
         r = 0
         for c in range(self.cols):
             if r == rows:
@@ -377,6 +385,10 @@ class Matrix:
             if pivot_row != r:
                 re[r], re[pivot_row] = re[pivot_row], [-v for v in re[r]]
                 im[r], im[pivot_row] = im[pivot_row], [-v for v in im[r]]
+                since[r], since[pivot_row] = since[pivot_row], since[r]
+            step = len(pivots)
+            prev_re, prev_im = history[step]
+            _catch_up(re[r], im[r], c, history[step], history[since[r]])
             p_re, p_im = re[r][c], im[r][c]
             top_re, top_im = re[r][c + 1 :], im[r][c + 1 :]
             # (p*a - q*t) / prev, computed as (p'*a - q'*t) / |prev|^2 with
@@ -385,6 +397,10 @@ class Matrix:
             pc_re, pc_im = p_re * prev_re + p_im * prev_im, p_im * prev_re - p_re * prev_im
             for i in range(r + 1, rows):
                 row_re, row_im = re[i], im[i]
+                if not (row_re[c] or row_im[c]):
+                    continue
+                _catch_up(row_re, row_im, c, history[step], history[since[i]])
+                since[i] = step + 1
                 q_re, q_im = row_re[c], row_im[c]
                 if real:
                     row_re[c + 1 :] = _exact_quotients(
@@ -401,7 +417,7 @@ class Matrix:
                     )
                 row_re[c] = row_im[c] = 0
             pivots.append((r, c))
-            prev_re, prev_im = p_re, p_im
+            history.append((p_re, p_im))
             r += 1
         return (re, im), pivots
 
@@ -453,6 +469,21 @@ class Matrix:
 def _row_scale(row) -> int:
     """The lcm of the denominators in a row of Scalars."""
     return lcm(*(v.re.denominator for v in row), *(v.im.denominator for v in row))
+
+
+def _catch_up(row_re: list, row_im: list, c: int, num: tuple, den: tuple) -> None:
+    """Multiply the row from column c on by the Gaussian-integer quotient
+    num / den, in place; the product is the row as an eager Bareiss pass
+    would hold it, so every division is exact."""
+    if num == den:
+        return
+    # num / den = num * conj(den) / |den|^2
+    (n_re, n_im), (d_re, d_im) = num, den
+    m_re, m_im = n_re * d_re + n_im * d_im, n_im * d_re - n_re * d_im
+    norm = d_re * d_re + d_im * d_im
+    pairs = list(zip(row_re[c:], row_im[c:]))
+    row_re[c:] = _exact_quotients([a * m_re - b * m_im for a, b in pairs], norm)
+    row_im[c:] = _exact_quotients([a * m_im + b * m_re for a, b in pairs], norm)
 
 
 def _exact_quotients(values: list, divisor: int) -> list:
@@ -602,15 +633,18 @@ def form_restrict(q: QuadraticForm, subspace: Sequence[Sequence]) -> QuadraticFo
     span = matrix_from_columns(vectors, q.dim)
     if span.rank() != len(vectors):
         raise ValueError("restriction basis is linearly dependent")
-    images = [q.gram.apply(v) for v in vectors]
+    # u^T G v as a sum over the supports of u and v, which are small in practice
+    supports = [[(k, x) for k, x in enumerate(v) if x] for v in vectors]
+    g = q.gram.entries
     gram = []
-    for u in vectors:
+    for su in supports:
         row = []
-        for gv in images:
+        for sv in supports:
             acc = ZERO
-            for a, b in zip(u, gv):
-                if not a.is_zero() and not b.is_zero():
-                    acc = acc + a * b
+            for i, x in su:
+                for k, y in sv:
+                    if g[i][k]:
+                        acc = acc + x * g[i][k] * y
             row.append(acc)
         gram.append(row)
     return QuadraticForm(Matrix(gram))

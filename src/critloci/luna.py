@@ -17,7 +17,6 @@ from .exactalg import (
     Matrix,
     Scalar,
     ZERO,
-    commutator,
     form_restrict,
     matrix_from_columns,
 )
@@ -86,16 +85,13 @@ def sigma_matrix(p: SlicePoint) -> Matrix:
     rows by the flattened (A, B, C) coordinates.
     """
     n = p.n
-    y = p.y
     columns = []
     for a in range(n):
         for b in range(n):
-            x = Matrix.unit(n, a, b)
-            parts = [commutator(x, m) for m in (y.A, y.B, y.C)]
-            col = []
-            for m in parts:
-                for row in m.entries:
-                    col.extend(row)
+            # for a diagonal M, [E_ab, M] = (M_bb - M_aa) E_ab
+            col = [ZERO] * (3 * n * n)
+            for slot, m in enumerate((p.y.A.entries, p.y.B.entries, p.y.C.entries)):
+                col[_coord(slot, n, a, b)] = m[b][b] - m[a][a]
             columns.append(col)
     return matrix_from_columns(columns, 3 * n * n)
 
@@ -158,13 +154,8 @@ def slice_decomposition(p: SlicePoint) -> Decomposition:
         )
     basis_im = [sigma.column(c) for _, c in pivots]
 
-    constraint = _perp_constraint_rows(p)
-    for vec in basis_ya:
-        row = [ZERO] * total
-        # pin every diagonal-block coordinate to zero
-        idx = next(i for i, v in enumerate(vec) if not v.is_zero())
-        row[idx] = Scalar(1)
-        constraint.append(row)
+    # the unit vectors of Y_a, as rows, pin every diagonal-block coordinate to zero
+    constraint = _perp_constraint_rows(p) + [list(vec) for vec in basis_ya]
     basis_slice = Matrix(constraint).kernel_basis()
 
     dims = (len(basis_ya), len(basis_im), len(basis_slice))
@@ -178,9 +169,13 @@ def slice_decomposition(p: SlicePoint) -> Decomposition:
     return Decomposition(tuple(basis_ya), tuple(basis_im), tuple(basis_slice))
 
 
-def slice_hessian_nondegenerate(p: SlicePoint) -> bool:
-    """Restrict the Hessian at the base point to the slice; exact rank test."""
-    dec = slice_decomposition(p)
+def slice_hessian_nondegenerate(p: SlicePoint, dec: Decomposition | None = None) -> bool:
+    """Restrict the Hessian at the base point to the slice; exact rank test.
+
+    dec is the slice decomposition of p, computed here when not given.
+    """
+    if dec is None:
+        dec = slice_decomposition(p)
     if not dec.basis_Yslice:
         return True
     form = hessian(p.y)

@@ -58,6 +58,15 @@ def sparse_symmetric(draw):
     return Matrix(grid)
 
 
+@st.composite
+def sparse_gaussian(draw):
+    """Mostly zero Gaussian-rational matrices: most rows have a zero in most
+    pivot columns, so the kernel leaves them unscaled across several steps."""
+    rows, cols = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    value = st.one_of(st.just(ZERO), st.just(ZERO), ENTRIES["gaussian_rational"])
+    return Matrix([[draw(value) for _ in range(cols)] for _ in range(rows)])
+
+
 def _old(m: Matrix) -> OracleMatrix:
     return OracleMatrix(m.entries)
 
@@ -99,6 +108,14 @@ def test_det_and_inverse_match_oracle(m):
 def test_sparse_symmetric_matches_oracle(m):
     _assert_same_elimination(m)
     _assert_same_square(m)
+
+
+@EXAMPLES
+@given(sparse_gaussian())
+def test_sparse_gaussian_matches_oracle(m):
+    _assert_same_elimination(m)
+    if m.rows == m.cols:
+        _assert_same_square(m)
 
 
 @EXAMPLES

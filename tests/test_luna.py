@@ -206,6 +206,15 @@ class TestSliceHessian:
         )
         assert slice_hessian_nondegenerate(point)
 
+    def test_given_decomposition_gives_same_verdict(self):
+        rng = SplitMix64(37)
+        for _ in range(6):
+            total = rng.randint(2, 4)
+            data = random_polystable(rng, rng.randint(1, min(3, total)), total)
+            point = SlicePoint.from_data(data)
+            dec = slice_decomposition(point)
+            assert slice_hessian_nondegenerate(point, dec) == slice_hessian_nondegenerate(point)
+
     def test_sigma_columns_in_hessian_radical(self):
         rng = SplitMix64(36)
         for _ in range(6):
